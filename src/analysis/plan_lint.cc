@@ -143,8 +143,7 @@ void CheckProcessLowering(const plan::FedPlan& fed_plan,
 
 void CheckSqlLowering(const plan::FedPlan& fed_plan, const std::string& where,
                       std::vector<Diagnostic>* out) {
-  Result<std::string> select = plan::RenderSelectSql(
-      fed_plan, [](const std::string& param) { return param; });
+  Result<std::string> select = plan::RenderSelectSql(fed_plan, fed_plan.name);
   if (!select.ok()) {
     Add(out, kPlanCompileFailed, where,
         "SQL lowering failed: " + select.status().message());

@@ -23,9 +23,8 @@ Result<Table> Database::Execute(const std::string& statement) {
 
 Result<Table> Database::Execute(const std::string& statement,
                                 ExecContext& ctx) {
-  if (ctx.db == nullptr) ctx.db = this;
   FEDFLOW_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(statement));
-  return Dispatch(stmt, ctx);
+  return Execute(stmt, ctx);
 }
 
 Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
@@ -36,7 +35,8 @@ Result<Table> Database::ExecuteSelect(const sql::SelectStmt& stmt,
   return executor.Execute(stmt);
 }
 
-Result<Table> Database::Dispatch(const sql::Statement& stmt, ExecContext& ctx) {
+Result<Table> Database::Execute(const sql::Statement& stmt, ExecContext& ctx) {
+  if (ctx.db == nullptr) ctx.db = this;
   switch (stmt.kind) {
     case sql::StatementKind::kSelect:
       return ExecuteSelect(*stmt.select, ctx);

@@ -4,7 +4,7 @@
 
 namespace fedflow::fdbs {
 
-Result<Table> SqlClient::Query(const std::string& sql) {
+Result<ExecContext> SqlClient::NextStatement() {
   ++statements_;
   if (ctx_->clock != nullptr && overhead_us_ > 0) {
     ctx_->clock->Charge("JDBC calls", overhead_us_);
@@ -14,7 +14,18 @@ Result<Table> SqlClient::Query(const std::string& sql) {
   if (inner.depth >= ExecContext::kMaxDepth) {
     return Status::ExecutionError("maximum UDTF nesting depth exceeded");
   }
+  return inner;
+}
+
+Result<Table> SqlClient::Query(const std::string& sql) {
+  FEDFLOW_ASSIGN_OR_RETURN(ExecContext inner, NextStatement());
   return db_->Execute(sql, inner);
+}
+
+Result<Table> SqlClient::Query(const sql::SelectStmt& prepared,
+                               const ParamScope& params) {
+  FEDFLOW_ASSIGN_OR_RETURN(ExecContext inner, NextStatement());
+  return db_->ExecuteSelect(prepared, inner, &params);
 }
 
 Result<Table> ProceduralTableFunction::Invoke(const std::vector<Value>& args,

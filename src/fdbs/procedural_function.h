@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "fdbs/eval.h"
 #include "fdbs/table_function.h"
 
 namespace fedflow::fdbs {
@@ -18,21 +19,29 @@ namespace fedflow::fdbs {
 class Database;
 
 /// JDBC-analog handle a procedural body uses to run SQL against the owning
-/// database. Each statement is parsed and executed by the FDBS; an optional
-/// per-statement overhead (the "JDBC call") is charged to the context clock.
+/// database: ad-hoc SQL text, or a SELECT prepared once with its parameters
+/// bound per execution. An optional per-statement overhead (the "JDBC call")
+/// is charged to the context clock either way.
 class SqlClient {
  public:
   /// `statement_overhead_us` models the driver round trip per statement.
   SqlClient(Database* db, ExecContext* ctx, VDuration statement_overhead_us)
       : db_(db), ctx_(ctx), overhead_us_(statement_overhead_us) {}
 
-  /// Executes one SQL statement and returns its result table.
+  /// Parses and executes one SQL statement and returns its result table.
   Result<Table> Query(const std::string& sql);
+
+  /// Executes a prepared SELECT with `params` bound to its parameter
+  /// references (no parse).
+  Result<Table> Query(const sql::SelectStmt& prepared, const ParamScope& params);
 
   /// Number of statements issued through this client.
   int statements_issued() const { return statements_; }
 
  private:
+  /// Counts and charges one statement; the nested context it runs under.
+  Result<ExecContext> NextStatement();
+
   Database* db_;
   ExecContext* ctx_;
   VDuration overhead_us_;

@@ -1,6 +1,7 @@
 #include "federation/integration_server.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "analysis/dataflow/dataflow_lint.h"
 #include "analysis/plan_lint.h"
@@ -11,6 +12,7 @@
 #include "cache/cache_key.h"
 #include "sim/flow_state.h"
 #include "sql/ast.h"
+#include "sql/parser.h"
 
 namespace fedflow::federation {
 
@@ -89,6 +91,7 @@ Status IntegrationServer::RegisterFederatedFunction(
   // coupling; warnings are kept for the operator to query.
   std::vector<analysis::Diagnostic> diags = analysis::LintSpec(spec, systems_);
   std::shared_ptr<const plan::FedPlan> fed_plan;
+  Status build_status;
   if (!analysis::HasErrors(diags)) {
     // Compile + optimize exactly once, at registration. The cached plan is
     // handed to the FF3xx lint, the dataflow analyses and the coupling — and
@@ -98,6 +101,7 @@ Status IntegrationServer::RegisterFederatedFunction(
     Result<std::shared_ptr<const plan::FedPlan>> built =
         plan_cache_.GetOrBuild(spec, systems_, model_, options);
     if (built.ok()) fed_plan = *built;
+    build_status = built.status();
     // Plan-consistency gate (FF3xx): the lowerings of the optimized plan
     // must agree with it on call set, ordering and classification. Only
     // reachable for plannable specs, hence behind the spec-lint errors.
@@ -146,19 +150,8 @@ Status IntegrationServer::RegisterFederatedFunction(
   for (analysis::Diagnostic& d : diags) {
     lint_warnings_.push_back(std::move(d));
   }
-  if (fed_plan == nullptr) {
-    // Unreachable in practice (a plan that failed to compile was rejected by
-    // FF304 above); kept as a legacy fallback that compiles once itself.
-    switch (arch_) {
-      case Architecture::kWfms:
-        return wfms_->RegisterFederatedFunction(spec, options);
-      case Architecture::kUdtf:
-        return udtf_->RegisterFederatedFunction(spec, options);
-      case Architecture::kJavaUdtf:
-        return java_->RegisterFederatedFunction(spec, options);
-    }
-    return Status::Internal("bad architecture");
-  }
+  // A plan that failed to compile was rejected by FF304 above.
+  if (fed_plan == nullptr) return build_status;
   Status registered = [&] {
     switch (arch_) {
       case Architecture::kWfms:
@@ -198,9 +191,10 @@ Result<IntegrationServer::TimedResult> IntegrationServer::QueryTimedFor(
   // always returns the pinned controller — the legacy single-flow path.
   FEDFLOW_ASSIGN_OR_RETURN(ControllerPool::Lease lease,
                            controller_pool_.Checkout(tenant, function));
+  FEDFLOW_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   FEDFLOW_ASSIGN_OR_RETURN(
       TimedResult result,
-      RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant, sql));
+      RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant, stmt));
   // The checkout's warmth verdict is what the statement's federated function
   // experienced on the leased controller. Plain SQL (no affinity) reports
   // the default kHot, matching the pre-pool QueryTimed.
@@ -210,7 +204,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::QueryTimedFor(
 
 Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
     Controller* controller, sim::SystemState* ledger, uint64_t slot,
-    const std::string& tenant, const std::string& sql, txn::SagaExec* saga,
+    const std::string& tenant, const sql::Statement& stmt, txn::SagaExec* saga,
     VDuration* failed_elapsed_us) {
   sim::FlowState flow;
   flow.flow_id = next_flow_id_.fetch_add(1);
@@ -243,8 +237,10 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
     // reproduce the breakdown exactly.
     if (tracer_.enabled()) flow.clock.set_observer(&session);
     obs::SpanScope root(&session, "query", obs::Layer::kFdbs);
-    root.SetAttribute("sql", sql);
-    Result<Table> t = db_.Execute(sql, ctx);
+    if (tracer_.enabled() && stmt.select != nullptr) {
+      root.SetAttribute("sql", stmt.select->ToSql());
+    }
+    Result<Table> t = db_.Execute(stmt, ctx);
     if (!t.ok()) root.SetStatus(t.status());
     return t;
   }();
@@ -263,15 +259,22 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunFlow(
   return result;
 }
 
-std::string IntegrationServer::BuildCallSql(const std::string& name,
-                                            const std::vector<Value>& args) {
-  std::string sql = "SELECT * FROM TABLE (" + name + "(";
-  for (size_t i = 0; i < args.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += sql::LiteralExpr(args[i]).ToSql();
+sql::Statement IntegrationServer::CallStatement(
+    const std::string& name, const std::vector<Value>& args) {
+  sql::TableRef call;
+  call.kind = sql::TableRefKind::kTableFunction;
+  call.name = name;
+  call.alias = "R";
+  for (const Value& arg : args) {
+    call.args.push_back(std::make_shared<sql::LiteralExpr>(arg));
   }
-  sql += ")) AS R";
-  return sql;
+  sql::SelectItem star;
+  star.is_star = true;
+  sql::Statement stmt;
+  stmt.select = std::make_unique<sql::SelectStmt>();
+  stmt.select->items.push_back(std::move(star));
+  stmt.select->from.push_back(std::move(call));
+  return stmt;
 }
 
 void IntegrationServer::RecordCallMetrics(const std::string& tenant,
@@ -383,7 +386,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::RunSagaCall(
   std::unique_ptr<txn::SagaExec> exec = saga_runtime_.Begin(info, args);
   VDuration failed_elapsed_us = 0;
   Result<TimedResult> result =
-      RunFlow(controller, ledger, slot, tenant, BuildCallSql(name, args),
+      RunFlow(controller, ledger, slot, tenant, CallStatement(name, args),
               exec.get(), &failed_elapsed_us);
   if (!result.ok()) {
     // Backward recovery: compensate the applied steps in reverse order. The
@@ -408,28 +411,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedFor(
   // always returns the pinned controller — the legacy single-flow path.
   FEDFLOW_ASSIGN_OR_RETURN(ControllerPool::Lease lease,
                            controller_pool_.Checkout(tenant, name));
-  const sim::SystemState::Warmth warmth = lease.warmth();
-  if (const txn::SagaSpecInfo* info = saga_runtime_.Find(name)) {
-    FEDFLOW_ASSIGN_OR_RETURN(
-        TimedResult saga_result,
-        RunSagaCall(*info, lease.controller(), lease.ledger(), lease.slot(),
-                    tenant, name, args));
-    saga_result.warmth = warmth;
-    return saga_result;
-  }
-  TimedResult result;
-  if (TryServeCached(warmth, name, args, &result)) {
-    lease.ledger()->MarkRun(name);
-    RecordCallMetrics(tenant, name, result);
-    return result;
-  }
-  FEDFLOW_ASSIGN_OR_RETURN(
-      result, RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant,
-                      BuildCallSql(name, args)));
-  result.warmth = warmth;
-  FinishCachedCall(warmth, lease.slot(), tenant, name, args, &result);
-  RecordCallMetrics(tenant, name, result);
-  return result;
+  return CallFederatedOnLease(lease, tenant, name, args);
 }
 
 Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
@@ -458,7 +440,7 @@ Result<IntegrationServer::TimedResult> IntegrationServer::CallFederatedOnLease(
   }
   FEDFLOW_ASSIGN_OR_RETURN(
       result, RunFlow(lease.controller(), lease.ledger(), lease.slot(), tenant,
-                      BuildCallSql(name, args)));
+                      CallStatement(name, args)));
   result.warmth = warmth;
   FinishCachedCall(warmth, lease.slot(), tenant, name, args, &result);
   RecordCallMetrics(tenant, name, result);

@@ -106,12 +106,12 @@ class IntegrationServer {
                                        const std::vector<Value>& args);
 
   /// CallFederatedFor on a controller the caller already leased from
-  /// controller_pool(). The load harness holds one lease per in-flight
-  /// virtual flow for the flow's whole virtual duration, so concurrent flows
-  /// occupy distinct controllers; this entry point runs the statement on
-  /// that lease instead of checking out per call. Warmth is the leased
-  /// ledger's pre-call verdict for `name`. InvalidArgument on a released
-  /// lease.
+  /// controller_pool(); CallFederatedFor itself is a Checkout plus this
+  /// call. The load harness holds one lease per in-flight virtual flow for
+  /// the flow's whole virtual duration, so concurrent flows occupy distinct
+  /// controllers; this entry point runs the statement on that lease instead
+  /// of checking out per call. Warmth is the leased ledger's pre-call
+  /// verdict for `name`. InvalidArgument on a released lease.
   Result<TimedResult> CallFederatedOnLease(const ControllerPool::Lease& lease,
                                            const std::string& tenant,
                                            const std::string& name,
@@ -209,9 +209,9 @@ class IntegrationServer {
 
  private:
   /// One flow on an already-selected controller/ledger pair: builds the
-  /// per-invocation FlowState, traces and times the statement. Shared by the
-  /// per-call checkout path (QueryTimedFor) and the external-lease path
-  /// (CallFederatedOnLease). `slot` is the lease's warm-pool slot (0 when
+  /// per-invocation FlowState, traces and times the parsed statement. Shared
+  /// by QueryTimedFor (user SQL text, parsed once) and CallFederatedOnLease
+  /// (a CallStatement AST). `slot` is the lease's warm-pool slot (0 when
   /// unpooled); result-cache entries produced by the flow record it. The
   /// result's warmth is left at its default. `saga` (optional) rides the
   /// flow state so the couplings route mutating calls through it; on failure
@@ -221,7 +221,7 @@ class IntegrationServer {
   Result<TimedResult> RunFlow(Controller* controller,
                               sim::SystemState* ledger, uint64_t slot,
                               const std::string& tenant,
-                              const std::string& sql,
+                              const sql::Statement& stmt,
                               txn::SagaExec* saga = nullptr,
                               VDuration* failed_elapsed_us = nullptr);
 
@@ -255,9 +255,11 @@ class IntegrationServer {
                         const std::string& tenant, const std::string& name,
                         const std::vector<Value>& args, TimedResult* result);
 
-  /// "SELECT * FROM TABLE (name(args...)) AS R".
-  static std::string BuildCallSql(const std::string& name,
-                                  const std::vector<Value>& args);
+  /// SELECT * FROM TABLE (name(args...)) AS R, built as an AST: each
+  /// argument is bound as a typed literal, never rendered to SQL text, and
+  /// `name` is only ever a catalog lookup key.
+  static sql::Statement CallStatement(const std::string& name,
+                                      const std::vector<Value>& args);
 
   /// The call.* counters/histograms (plus the tenant-scoped view for
   /// non-default tenants) recorded after every successful federated call.

@@ -1,41 +1,22 @@
 #include "federation/java_coupling.h"
 
 #include <memory>
+#include <optional>
 
-#include "common/strings.h"
 #include "fdbs/procedural_function.h"
 #include "obs/trace.h"
 #include "plan/lower_sql.h"
 #include "sim/flow_state.h"
+#include "sql/parser.h"
 
 namespace fedflow::federation {
 
 bool JavaUdtfSupports(MappingCase c) { return c != MappingCase::kGeneral; }
 
-namespace {
-
-/// Renders a value as a SQL literal for parameter substitution.
-std::string LiteralSql(const Value& v) {
-  if (v.is_null()) return "NULL";
-  if (v.type() == DataType::kVarchar) {
-    std::string escaped;
-    for (char c : v.AsVarchar()) {
-      if (c == '\'') escaped += "''";
-      else escaped.push_back(c);
-    }
-    return "'" + escaped + "'";
-  }
-  if (v.type() == DataType::kBool) return v.AsBool() ? "TRUE" : "FALSE";
-  return v.ToString();
-}
-
-}  // namespace
-
 Status JavaUdtfCoupling::RegisterFederatedFunction(
     const FederatedFunctionSpec& spec, const plan::PlanOptions& options) {
   // Compile + optimize the plan ONCE at registration; the procedural body
-  // interprets the captured plan directly, rendering parameters as literals
-  // at call time (a prepared-statement analog).
+  // interprets the captured plan directly.
   FEDFLOW_ASSIGN_OR_RETURN(plan::FedPlan fed_plan,
                            plan::BuildPlan(spec, *systems_, *model_, options));
   return RegisterFederatedFunction(
@@ -51,50 +32,38 @@ Status JavaUdtfCoupling::RegisterFederatedFunction(
         MappingCaseName(fed_plan->mapping_case) + " case");
   }
   Schema returns = fed_plan->result_schema;
+  // The JDBC prepared statement: the lowered SELECT is rendered and parsed
+  // once, here; each call binds its arguments (and ITERATION) to the
+  // "Spec.Param" references instead of re-rendering SQL text.
+  FEDFLOW_ASSIGN_OR_RETURN(std::string select,
+                           plan::RenderSelectSql(*fed_plan, fed_plan->name));
+  FEDFLOW_ASSIGN_OR_RETURN(sql::SelectStmt parsed, sql::ParseSelect(select));
+  auto prepared = std::make_shared<const sql::SelectStmt>(std::move(parsed));
 
   fdbs::ProceduralBody body =
-      [plan = std::move(fed_plan), returns](
+      [plan = std::move(fed_plan), prepared, returns](
           const std::vector<Value>& args,
           fdbs::SqlClient* client) -> Result<Table> {
     const plan::FedPlan& fed_plan = *plan;
-    auto render_param = [&](const std::string& param) -> std::string {
-      for (size_t i = 0; i < fed_plan.params.size(); ++i) {
-        if (EqualsIgnoreCase(fed_plan.params[i].name, param)) {
-          return LiteralSql(args[i]);
-        }
-      }
-      return param;  // resolved per-iteration below (ITERATION)
-    };
-
-    if (!fed_plan.loop.enabled) {
-      FEDFLOW_ASSIGN_OR_RETURN(std::string sql,
-                               plan::RenderSelectSql(fed_plan, render_param));
-      return client->Query(sql);
+    fdbs::ParamScope bound;
+    bound.function_name = fed_plan.name;
+    for (size_t i = 0; i < fed_plan.params.size(); ++i) {
+      bound.params.emplace_back(fed_plan.params[i].name, args[i]);
     }
+    if (!fed_plan.loop.enabled) return client->Query(*prepared, bound);
 
     // Cyclic case: client-side do-until loop, one statement per iteration.
     int64_t limit = 0;
-    for (size_t i = 0; i < fed_plan.params.size(); ++i) {
-      if (EqualsIgnoreCase(fed_plan.params[i].name,
-                           fed_plan.loop.count_param)) {
-        FEDFLOW_ASSIGN_OR_RETURN(limit, args[i].ToInt64());
-      }
+    if (std::optional<Value> count =
+            bound.Lookup("", fed_plan.loop.count_param)) {
+      FEDFLOW_ASSIGN_OR_RETURN(limit, count->ToInt64());
     }
+    bound.params.emplace_back("ITERATION", Value::Null());
     Table all(returns);
-    int64_t iteration = 0;
+    int32_t iteration = 0;
     do {
-      ++iteration;
-      auto render_with_iteration =
-          [&](const std::string& param) -> std::string {
-        if (EqualsIgnoreCase(param, "ITERATION")) {
-          return std::to_string(iteration);
-        }
-        return render_param(param);
-      };
-      FEDFLOW_ASSIGN_OR_RETURN(
-          std::string sql,
-          plan::RenderSelectSql(fed_plan, render_with_iteration));
-      FEDFLOW_ASSIGN_OR_RETURN(Table chunk, client->Query(sql));
+      bound.params.back().second = Value::Int(++iteration);
+      FEDFLOW_ASSIGN_OR_RETURN(Table chunk, client->Query(*prepared, bound));
       if (!fed_plan.loop.union_all) all = Table(returns);  // keep last only
       for (Row& r : chunk.mutable_rows()) {
         FEDFLOW_RETURN_NOT_OK(all.AppendRow(std::move(r)));

@@ -43,8 +43,10 @@ class JavaUdtfCoupling {
   /// registers a procedural I-UDTF interpreting it. The body interprets the
   /// mapping: non-cyclic plans issue the same single SELECT the SQL I-UDTF
   /// would contain; cyclic plans run a client-side do-until loop issuing one
-  /// statement per iteration and unioning the results. Optimizer passes are
-  /// opt-in via `options` and shape the captured plan once, at registration.
+  /// statement per iteration and unioning the results. That SELECT is a
+  /// prepared statement, parsed once here with its parameters (and
+  /// ITERATION) bound per execution. Optimizer passes are opt-in via
+  /// `options` and shape the captured plan once, at registration.
   Status RegisterFederatedFunction(const FederatedFunctionSpec& spec,
                                    const plan::PlanOptions& options = {});
 

@@ -545,11 +545,8 @@ Result<std::string> UdtfCoupling::CompileIUdtfSql(
   sql << ")\nLANGUAGE SQL RETURN\n";
   // DB2 style: the body references the function's own parameters as
   // FunctionName.ParamName.
-  FEDFLOW_ASSIGN_OR_RETURN(
-      std::string select,
-      plan::RenderSelectSql(fed_plan, [&spec](const std::string& param) {
-        return spec.name + "." + param;
-      }));
+  FEDFLOW_ASSIGN_OR_RETURN(std::string select,
+                           plan::RenderSelectSql(fed_plan, spec.name));
   sql << select;
   return sql.str();
 }
@@ -575,11 +572,8 @@ Result<std::string> UdtfCoupling::CompilePsmSql(
 
   // The body's SELECT, with parameters (and ITERATION, when looping)
   // referenced as ProcName.X — PSM variables resolve the same way.
-  FEDFLOW_ASSIGN_OR_RETURN(
-      std::string select,
-      plan::RenderSelectSql(fed_plan, [&spec](const std::string& p) {
-        return spec.name + "." + p;
-      }));
+  FEDFLOW_ASSIGN_OR_RETURN(std::string select,
+                           plan::RenderSelectSql(fed_plan, spec.name));
 
   std::ostringstream sql;
   sql << "CREATE PROCEDURE " << spec.name << " (";

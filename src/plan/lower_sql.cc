@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "sql/ast.h"
+
 namespace fedflow::plan {
 
 using federation::SpecArg;
@@ -9,20 +11,12 @@ using federation::SpecJoin;
 using federation::SpecOutput;
 
 std::string RenderPlanArg(const SpecArg& arg,
-                          const ParamRenderer& render_param) {
+                          const std::string& param_qualifier) {
   switch (arg.kind) {
     case SpecArg::Kind::kConstant:
-      if (arg.constant.type() == DataType::kVarchar) {
-        std::string escaped;
-        for (char c : arg.constant.AsVarchar()) {
-          if (c == '\'') escaped += "''";
-          else escaped.push_back(c);
-        }
-        return "'" + escaped + "'";
-      }
-      return arg.constant.ToString();
+      return sql::LiteralExpr(arg.constant).ToSql();
     case SpecArg::Kind::kParam:
-      return render_param(arg.param);
+      return param_qualifier + "." + arg.param;
     case SpecArg::Kind::kNodeColumn:
       return arg.node + "." + arg.column;
   }
@@ -47,7 +41,7 @@ const char* SqlCastFunctionName(DataType t) {
 }
 
 Result<std::string> RenderSelectSql(const FedPlan& plan,
-                                    const ParamRenderer& render_param) {
+                                    const std::string& param_qualifier) {
   std::ostringstream sql;
   sql << "SELECT ";
   for (size_t i = 0; i < plan.outputs.size(); ++i) {
@@ -72,7 +66,7 @@ Result<std::string> RenderSelectSql(const FedPlan& plan,
     sql << "TABLE (" << call.function << "(";
     for (size_t a = 0; a < call.args.size(); ++a) {
       if (a > 0) sql << ", ";
-      sql << RenderPlanArg(call.args[a], render_param);
+      sql << RenderPlanArg(call.args[a], param_qualifier);
     }
     sql << ")) AS " << call.id;
   }

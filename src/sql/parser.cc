@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <utility>
@@ -769,21 +770,28 @@ class Parser {
   size_t pos_ = 0;
 };
 
+std::atomic<int64_t> g_parse_invocations{0};
+
 }  // namespace
 
+int64_t ParseInvocations() { return g_parse_invocations.load(); }
+
 Result<Statement> Parse(const std::string& input) {
+  g_parse_invocations.fetch_add(1);
   FEDFLOW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseStatement();
 }
 
 Result<SelectStmt> ParseSelect(const std::string& input) {
+  g_parse_invocations.fetch_add(1);
   FEDFLOW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseSelectOnly();
 }
 
 Result<ExprPtr> ParseExpression(const std::string& input) {
+  g_parse_invocations.fetch_add(1);
   FEDFLOW_ASSIGN_OR_RETURN(std::vector<Token> tokens, Lex(input));
   Parser parser(std::move(tokens));
   return parser.ParseExpressionOnly();

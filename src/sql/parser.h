@@ -2,6 +2,7 @@
 #ifndef FEDFLOW_SQL_PARSER_H_
 #define FEDFLOW_SQL_PARSER_H_
 
+#include <cstdint>
 #include <string>
 
 #include "common/result.h"
@@ -19,6 +20,11 @@ Result<SelectStmt> ParseSelect(const std::string& input);
 /// Parses a bare scalar expression (used by tests and the workflow
 /// transition-condition language, which reuses SQL expression syntax).
 Result<ExprPtr> ParseExpression(const std::string& input);
+
+/// Process-wide count of Parse/ParseSelect/ParseExpression invocations. The
+/// call-path tests diff this around federated calls to pin "no SQL text is
+/// parsed per call".
+int64_t ParseInvocations();
 
 }  // namespace fedflow::sql
 

@@ -8,6 +8,7 @@
 #include "appsys/stockkeeping.h"
 #include "federation/sample_scenario.h"
 #include "federation/udtf_coupling.h"
+#include "sql/parser.h"
 
 namespace fedflow::federation {
 namespace {
@@ -43,9 +44,16 @@ TEST_F(PsmCouplingTest, GeneratedPsmForCyclicSpecParsesAndRuns) {
             std::string::npos);
   EXPECT_NE(sql->find("EMIT SELECT"), std::string::npos);
 
+  // Registration parses the generated procedure once; the loop then runs
+  // the parsed body, never re-parsing per iteration (the CALL text is the
+  // only parse at call time).
+  int64_t parses = sql::ParseInvocations();
   ASSERT_TRUE(udtf_.RegisterPsmProcedure(AllCompNamesSpec()).ok());
+  EXPECT_EQ(sql::ParseInvocations() - parses, 1);
+  parses = sql::ParseInvocations();
   auto result = db_.Execute("CALL AllCompNames(5)");
   ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(sql::ParseInvocations() - parses, 1);
   ASSERT_EQ(result->num_rows(), 5u);
   EXPECT_EQ(result->rows()[0][0].AsVarchar(), "comp_1");
   EXPECT_EQ(result->rows()[4][0].AsVarchar(), "comp_5");
